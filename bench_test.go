@@ -473,3 +473,53 @@ func BenchmarkCondEntropyAssign(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineBatch measures the engine round layer in the shape of
+// the perfbench batch workload: one full labeling run per iteration on a
+// 200-task × 5-fact SentiLike dataset, K = 3, budget 1000, MV
+// initialization, under the uniform loop (Run) and the cost-aware loop
+// (RunCostAware, experts priced by accuracy as in the cost ablation).
+// ns/round is the run's wall time per engine round — selection, answer
+// collection, belief updates and round scoring — and rounds/op the
+// number of rounds a run takes.
+func BenchmarkEngineBatch(b *testing.B) {
+	ds, err := hcrowd.GenerateSentiLike(1, hcrowd.DefaultSentiConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	flavors := []struct {
+		name string
+		run  func(context.Context, *hcrowd.Dataset, hcrowd.Config) (*hcrowd.Result, error)
+		cost func(hcrowd.Worker) float64
+	}{
+		{"uniform", hcrowd.Run, nil},
+		{"costaware", hcrowd.RunCostAware, func(w hcrowd.Worker) float64 { return 1 + 8*(w.Accuracy-0.9) }},
+	}
+	for _, fl := range flavors {
+		b.Run(fl.name, func(b *testing.B) {
+			rounds := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := fl.run(ctx, ds, hcrowd.Config{
+					K:      3,
+					Budget: 1000,
+					Init:   hcrowd.MajorityVote(),
+					Cost:   fl.cost,
+					Source: hcrowd.NewSimulatedSource(2, ds),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds += len(res.Rounds)
+			}
+			b.StopTimer()
+			if rounds == 0 {
+				b.Fatal("no rounds ran")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+		})
+	}
+}

@@ -53,12 +53,14 @@ type roundPlan interface {
 }
 
 // stopState tracks the per-fact vote counts and frozen masks of the
-// Abraham et al. stopping rule across rounds. A nil rule makes every
-// method a no-op and the frozen mask nil.
+// Abraham et al. stopping rule across rounds, plus the running number of
+// frozen (task, fact) pairs. A nil rule makes every method a no-op and
+// the frozen mask nil.
 type stopState struct {
 	rule    *StopRule
 	yes, no []int
 	frozen  [][]bool
+	nFrozen int
 }
 
 // newStopState builds the tracker, rebuilding the frozen masks from
@@ -91,6 +93,7 @@ func newStopState(ds *dataset.Dataset, rule *StopRule, votes *StopVotes) (*stopS
 		for j, g := range facts {
 			if rule.Stopped(s.yes[g], s.no[g]) {
 				s.frozen[t][j] = true
+				s.nFrozen++
 			}
 		}
 	}
@@ -115,23 +118,11 @@ func (s *stopState) observe(ds *dataset.Dataset, task int, locals []int, fam cro
 	}
 	for _, lf := range locals {
 		g := ds.Tasks[task][lf]
-		if s.rule.Stopped(s.yes[g], s.no[g]) {
+		if !s.frozen[task][lf] && s.rule.Stopped(s.yes[g], s.no[g]) {
 			s.frozen[task][lf] = true
+			s.nFrozen++
 		}
 	}
-}
-
-// frozenCount counts the (task, fact) pairs the rule has settled.
-func (s *stopState) frozenCount() int {
-	n := 0
-	for _, row := range s.frozen {
-		for _, f := range row {
-			if f {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // snapshot exports the vote counts for checkpointing; nil without a rule.
@@ -145,6 +136,83 @@ func (s *stopState) snapshot() *StopVotes {
 	}
 }
 
+// scoreboard caches the per-task terms of a round's recorded quality and
+// accuracy, so scoring a round costs O(touched tasks) instead of a sweep
+// of every belief: q[t] is beliefs[t].Quality() and correct[t] the number
+// of task t's facts whose MAP label equals the ground truth. The cache is
+// exact only while every belief mutation is followed by a rescore — the
+// engine's purchase loop (the round's touched tasks) and admission
+// (appended beliefs) are the only two mutation paths.
+type scoreboard struct {
+	q       []float64
+	correct []int
+	right   int // Σ correct
+	facts   int // Σ len(ds.Tasks[t]) over scored tasks
+}
+
+// grow scores the beliefs appended since the last call (all of them on
+// the first call).
+func (s *scoreboard) grow(ds *dataset.Dataset, beliefs []*belief.Dist) error {
+	for t := len(s.q); t < len(beliefs); t++ {
+		s.q = append(s.q, 0)
+		s.correct = append(s.correct, 0)
+		s.facts += len(ds.Tasks[t])
+		if err := s.score(ds, beliefs, t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rescore refreshes the given tasks' cached terms after their beliefs
+// changed.
+func (s *scoreboard) rescore(ds *dataset.Dataset, beliefs []*belief.Dist, tasks []int) error {
+	for _, t := range tasks {
+		if err := s.score(ds, beliefs, t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *scoreboard) score(ds *dataset.Dataset, beliefs []*belief.Dist, t int) error {
+	d, facts := beliefs[t], ds.Tasks[t]
+	if d.NumFacts() != len(facts) {
+		return fmt.Errorf("pipeline: task %d labels/truth mismatch", t)
+	}
+	o := d.MAP()
+	c := 0
+	for j, g := range facts {
+		if belief.Models(o, j) == ds.Truth[g] {
+			c++
+		}
+	}
+	s.q[t] = d.Quality()
+	s.right += c - s.correct[t]
+	s.correct[t] = c
+	return nil
+}
+
+// quality is Σ_t Q(F_t), summed in ascending task order — the same
+// association as a full sweep over the beliefs, so the result is bitwise
+// identical to one.
+func (s *scoreboard) quality() float64 {
+	var q float64
+	for _, v := range s.q {
+		q += v
+	}
+	return q
+}
+
+// accuracy is the fraction of all facts whose MAP label matches the
+// ground truth.
+func (s *scoreboard) accuracy() (float64, error) {
+	if s.facts == 0 {
+		return 0, errors.New("pipeline: no facts")
+	}
+	return float64(s.right) / float64(s.facts), nil
+}
+
 // runEngine is the single checking loop behind Run, RunCostAware,
 // RunTiers and both resume flavors: repeatedly ask the plan what to buy,
 // collect the answers in deterministic order, charge for the answers
@@ -156,8 +224,14 @@ func runEngine(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Cr
 		return nil, errors.New("pipeline: Config.BudgetWindow must not be negative")
 	}
 	res := &Result{Beliefs: beliefs}
-	res.InitQuality = totalQuality(beliefs)
-	acc, err := totalAccuracy(ds, beliefs)
+	// The scoreboard is filled once here and afterwards re-scores only
+	// the beliefs a round touched or an admission appended.
+	var sb scoreboard
+	if err := sb.grow(ds, beliefs); err != nil {
+		return nil, err
+	}
+	res.InitQuality = sb.quality()
+	acc, err := sb.accuracy()
 	if err != nil {
 		return nil, err
 	}
@@ -179,6 +253,18 @@ func runEngine(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Cr
 	// admitted a batch, so one planning attempt sees one batch at most.
 	admitted := 0
 	justAdmitted := false
+	// admit folds admission batches into the dataset, beliefs, stop state,
+	// selection caches and scoreboard.
+	admit := func(frags []*dataset.Fragment) error {
+		n, err := admitAll(ds, cfg, plan, st, frags, &beliefs, &budget)
+		if err != nil {
+			return err
+		}
+		admitted += n
+		res.TasksAdmitted += n
+		res.Beliefs = beliefs
+		return sb.grow(ds, beliefs)
+	}
 	for {
 		if cfg.MaxRounds > 0 && round >= cfg.MaxRounds {
 			break
@@ -194,13 +280,9 @@ func runEngine(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Cr
 			if err != nil {
 				return nil, err
 			}
-			n, err := admitAll(ds, cfg, plan, st, frags, &beliefs, &budget)
-			if err != nil {
+			if err := admit(frags); err != nil {
 				return nil, err
 			}
-			admitted += n
-			res.TasksAdmitted += n
-			res.Beliefs = beliefs
 		}
 		justAdmitted = false
 		// Metrics bookkeeping is gated on the sink so an uninstrumented run
@@ -231,13 +313,9 @@ func runEngine(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Cr
 			if len(frags) == 0 {
 				break // admission stream finished; the run is complete
 			}
-			n, err := admitAll(ds, cfg, plan, st, frags, &beliefs, &budget)
-			if err != nil {
+			if err := admit(frags); err != nil {
 				return nil, err
 			}
-			admitted += n
-			res.TasksAdmitted += n
-			res.Beliefs = beliefs
 			justAdmitted = true
 			continue
 		}
@@ -284,8 +362,12 @@ func runEngine(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Cr
 			}
 		}
 		// Only the tasks that received answers changed; an incremental
-		// selector keeps every other task's cached gains.
+		// selector keeps every other task's cached gains, and the
+		// scoreboard every other task's quality and accuracy terms.
 		plan.invalidate(touched)
+		if err := sb.rescore(ds, beliefs, touched); err != nil {
+			return nil, err
+		}
 		budget -= spent
 		// Floor the remaining budget at zero and record the excess: the
 		// plans clamp purchases to what remains, but a source delivering
@@ -301,8 +383,8 @@ func runEngine(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Cr
 		res.BudgetSpent += spent
 		res.Overspent += over
 		round++
-		q := totalQuality(beliefs)
-		acc, err := totalAccuracy(ds, beliefs)
+		q := sb.quality()
+		acc, err := sb.accuracy()
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +409,7 @@ func runEngine(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Cr
 				TasksAdmitted:    admitted,
 				Quality:          q,
 				QualityDelta:     q - prevQ,
-				FrozenFacts:      st.frozenCount(),
+				FrozenFacts:      st.nFrozen,
 				Selector:         plan.stats().Sub(statsBefore),
 			})
 		}
@@ -350,8 +432,8 @@ func runEngine(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Cr
 			}
 		}
 	}
-	res.Quality = totalQuality(beliefs)
-	finalAcc, err := totalAccuracy(ds, beliefs)
+	res.Quality = sb.quality()
+	finalAcc, err := sb.accuracy()
 	if err != nil {
 		return nil, err
 	}

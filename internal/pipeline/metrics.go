@@ -18,8 +18,9 @@ type RoundMetrics struct {
 	Round int `json:"round"`
 	// Flavor is the plan that produced the round: "uniform" or "costaware".
 	Flavor string `json:"flavor"`
-	// Duration is the round's wall time: selection, answer collection and
-	// belief updates included.
+	// Duration is the round's wall time: selection, answer collection,
+	// belief updates and round scoring (the Quality and accuracy
+	// bookkeeping) included.
 	Duration time.Duration `json:"duration_ns"`
 	// QueriesBought is the number of checking queries the selector picked.
 	QueriesBought int `json:"queries_bought"`

@@ -355,38 +355,6 @@ func relabelFamily(fam crowd.AnswerFamily, globals, locals []int) (crowd.AnswerF
 	return out, nil
 }
 
-// totalQuality sums Q(F_t) over all tasks (the evaluation's "quality").
-func totalQuality(beliefs []*belief.Dist) float64 {
-	var q float64
-	for _, d := range beliefs {
-		q += d.Quality()
-	}
-	return q
-}
-
-// totalAccuracy is the fraction of all facts whose MAP label matches the
-// ground truth.
-func totalAccuracy(ds *dataset.Dataset, beliefs []*belief.Dist) (float64, error) {
-	correct, total := 0, 0
-	for t, d := range beliefs {
-		labels := d.Labels()
-		truth := ds.TaskTruth(t)
-		if len(labels) != len(truth) {
-			return 0, fmt.Errorf("pipeline: task %d labels/truth mismatch", t)
-		}
-		for j := range labels {
-			total++
-			if labels[j] == truth[j] {
-				correct++
-			}
-		}
-	}
-	if total == 0 {
-		return 0, errors.New("pipeline: no facts")
-	}
-	return float64(correct) / float64(total), nil
-}
-
 // finalLabels flattens the per-task MAP labels into global fact order
 // (Equation 20).
 func finalLabels(ds *dataset.Dataset, beliefs []*belief.Dist) []bool {

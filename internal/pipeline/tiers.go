@@ -63,6 +63,9 @@ func RunTiers(ctx context.Context, ds *dataset.Dataset, base Config, tiers []Tie
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: tier %d: %w", i, err)
 		}
+		// Carry the tier's beliefs forward, including any it admitted
+		// through cfg.Admit, so the next tier sees every task.
+		beliefs = res.Beliefs
 		if combined == nil {
 			combined = res
 		} else {
@@ -75,10 +78,17 @@ func RunTiers(ctx context.Context, ds *dataset.Dataset, base Config, tiers []Tie
 				combined.Rounds = append(combined.Rounds, r)
 			}
 			combined.BudgetSpent += res.BudgetSpent
+			combined.Overspent += res.Overspent
+			combined.TasksAdmitted += res.TasksAdmitted
+			// The final state is the last tier's, warm-resume sections
+			// included, so NewCheckpoint pairs the final beliefs with the
+			// selection cache and stop votes that describe them.
 			combined.Quality = res.Quality
 			combined.Accuracy = res.Accuracy
 			combined.Labels = res.Labels
 			combined.Beliefs = res.Beliefs
+			combined.selCache = res.selCache
+			combined.stopVotes = res.stopVotes
 		}
 	}
 	return combined, nil
