@@ -61,12 +61,13 @@ bench:
 
 # Snapshot the current performance numbers (incremental-selection
 # evals/round for both loop flavors, the engine round layer's ns/round on
-# the batch shape + the Fig2 end-to-end driver, with -benchmem so
+# the batch shape, the Table III wide-task selector step + the Fig2
+# end-to-end driver, with -benchmem so
 # allocs/op and B/op are captured) as BENCH_next.json.
 # BENCH_core.json is the archived pre-hot-path baseline — don't
 # overwrite it; diff against it with bench-compare.
 bench-snapshot:
-	$(GO) test -run xxx -bench 'GreedyIncremental|CostGreedyIncremental|EngineBatch|Fig2Baselines' -benchtime 1x -benchmem . \
+	$(GO) test -run xxx -bench 'GreedyIncremental|CostGreedyIncremental|EngineBatch|WideSelect|Fig2Baselines' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/hcsnap -out BENCH_next.json
 
 # Print per-benchmark, per-metric deltas between the archived core

@@ -154,6 +154,44 @@ func BenchmarkGreedySelect(b *testing.B) {
 	}
 }
 
+// BenchmarkWideSelect is the Table III selector step on one 16-fact
+// task: Approx (Greedy, k=3) and OPT (Exact, k=1) over a 2^16 belief,
+// with Table III's crowd of six preliminary workers and one expert.
+// evals/select counts the CondEntropy evaluations each selection runs.
+func BenchmarkWideSelect(b *testing.B) {
+	ds, err := hcrowd.GenerateWideTask(1, 16, hcrowd.HeterogeneousConfig{
+		NumPrelim: 6, PrelimLo: 0.65, PrelimHi: 0.85,
+		NumExpert: 1, ExpertLo: 0.93, ExpertHi: 0.97,
+	}, 0.9, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	beliefs, err := hcrowd.InitBeliefs(ds, hcrowd.MajorityVote(), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ce, _ := ds.Split()
+	p := hcrowd.Problem{Beliefs: beliefs, Experts: ce}
+	ctx := context.Background()
+	for _, c := range []struct {
+		sel hcrowd.Selector
+		k   int
+	}{{taskselect.Greedy{}, 3}, {taskselect.Exact{}, 1}} {
+		b.Run(c.sel.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			taskselect.ResetEvalCount()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.sel.Select(ctx, p, c.k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(taskselect.EvalCount())/float64(b.N), "evals/select")
+		})
+	}
+}
+
 // BenchmarkAggregate measures every baseline on the standard matrix.
 func BenchmarkAggregate(b *testing.B) {
 	ds := benchDataset(b)

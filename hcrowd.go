@@ -227,7 +227,9 @@ func QualityGain(d *Belief, experts Crowd, facts []int) (float64, error) {
 }
 
 // GreedySelector returns the paper's Algorithm 2: (1−1/e)-approximate
-// greedy selection.
+// greedy selection. Each Select runs a cold SelectionState; the
+// underlying taskselect.Greedy's Workers field parallelises the initial
+// per-task rescan and the post-pick refill of the winning task's gains.
 func GreedySelector() Selector { return taskselect.Greedy{} }
 
 // SelectionState is the incremental variant of GreedySelector: identical

@@ -333,11 +333,7 @@ func (d *Dist) Update(fam crowd.AnswerFamily) error {
 		for _, n := range lens {
 			sub := 1.0
 			for j := 0; j < n; j++ {
-				tv := 0
-				if Models(o, facts[u]) {
-					tv = 1
-				}
-				sub *= facs[u][tv]
+				sub *= facs[u][(o>>uint(facts[u]))&1]
 				u++
 			}
 			like *= sub

@@ -522,3 +522,90 @@ func TestConditionalMarginal(t *testing.T) {
 		t.Error("zero-probability event accepted")
 	}
 }
+
+// updateBranchy is Update's posterior loop as it read before the truth
+// bit indexed the factor pair directly: the same hoisted per-answer
+// factors and per-answer-set subproducts, with a branch on Models.
+func updateBranchy(d *Dist, fam crowd.AnswerFamily) []float64 {
+	var facs [][2]float64
+	var facts, lens []int
+	for _, as := range fam {
+		pcT, pcF := as.Worker.PCorrect(true), as.Worker.PCorrect(false)
+		for j, f := range as.Facts {
+			if as.Values[j] {
+				facs = append(facs, [2]float64{1 - pcF, pcT})
+			} else {
+				facs = append(facs, [2]float64{pcF, 1 - pcT})
+			}
+			facts = append(facts, f)
+		}
+		lens = append(lens, len(as.Facts))
+	}
+	post := make([]float64, len(d.p))
+	var sum float64
+	for o, po := range d.p {
+		if po == 0 {
+			continue
+		}
+		like := 1.0
+		u := 0
+		for _, n := range lens {
+			sub := 1.0
+			for j := 0; j < n; j++ {
+				tv := 0
+				if Models(o, facts[u]) {
+					tv = 1
+				}
+				sub *= facs[u][tv]
+				u++
+			}
+			like *= sub
+		}
+		v := po * like
+		post[o] = v
+		sum += v
+	}
+	inv := 1 / sum
+	for o := range post {
+		post[o] *= inv
+	}
+	return post
+}
+
+// TestUpdateMatchesBranchyLoop checks the branchless posterior loop
+// bitwise against the branching one, for symmetric and asymmetric
+// workers answering multi-fact sets that include the top fact.
+func TestUpdateMatchesBranchyLoop(t *testing.T) {
+	for _, m := range []int{5, 16} {
+		r := rngutil.New(int64(m))
+		raw := make([]float64, 1<<uint(m))
+		for i := range raw {
+			raw[i] = r.Float64() + 1e-3
+		}
+		d, err := FromJoint(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers := []crowd.Worker{
+			{ID: "s", Accuracy: 0.8},
+			{ID: "a", TPR: 0.9, TNR: 0.7},
+			{ID: "e", Accuracy: 0.95},
+		}
+		for round := 0; round < 4; round++ {
+			var fam crowd.AnswerFamily
+			facts := []int{r.Intn(m - 1), m - 1}
+			for _, w := range workers {
+				fam = append(fam, crowd.AnswerSet{Worker: w, Facts: facts, Values: []bool{r.Intn(2) == 0, r.Intn(2) == 0}})
+			}
+			want := updateBranchy(d, fam)
+			if err := d.Update(fam); err != nil {
+				t.Fatal(err)
+			}
+			for o, v := range d.p {
+				if math.Float64bits(v) != math.Float64bits(want[o]) {
+					t.Fatalf("m=%d round %d: P(%d) = %v, branchy loop %v", m, round, o, v, want[o])
+				}
+			}
+		}
+	}
+}

@@ -28,7 +28,7 @@ func TestSelectionStateAdmitMatchesGreedy(t *testing.T) {
 	p := randomProblem(t, 3, 5, ce)
 	state := NewSelectionState(0)
 	for round := 0; round < 3; round++ {
-		want, err := (Greedy{}).Select(ctx, p, 3)
+		want, err := (greedyReference{}).Select(ctx, p, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestSelectionStateAdmitMatchesGreedy(t *testing.T) {
 		old := len(p.Beliefs)
 		p = growProblem(t, p, 40+int64(round), 2)
 		state.Admit(len(p.Beliefs))
-		want, err = (Greedy{}).Select(ctx, p, 3)
+		want, err = (greedyReference{}).Select(ctx, p, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestAdmitBeforeFirstSyncIsSafe(t *testing.T) {
 	p := randomProblem(t, 5, 4, ce)
 	state := NewSelectionState(0)
 	state.Admit(4) // never synced: must be ignored
-	want, err := (Greedy{}).Select(ctx, p, 3)
+	want, err := (greedyReference{}).Select(ctx, p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestSelectionCacheRoundTripWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := (Greedy{}).Select(ctx, p, 2)
+	want, err := (greedyReference{}).Select(ctx, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSelectionCacheDirtyTasksRescan(t *testing.T) {
 	if err := warm.RestoreCache(c); err != nil {
 		t.Fatal(err)
 	}
-	want, err := (Greedy{}).Select(ctx, p, 2)
+	want, err := (greedyReference{}).Select(ctx, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSelectionCacheMismatchFallsBackCold(t *testing.T) {
 
 	other := p
 	other.Experts = experts(0.7, 0.99)
-	want, err := (Greedy{}).Select(ctx, other, 2)
+	want, err := (greedyReference{}).Select(ctx, other, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,22 +129,31 @@ func CondEntropy(d *belief.Dist, ce crowd.Crowd, facts []int) (float64, error) {
 	if err := validateQuerySet(d, facts); err != nil {
 		return 0, err
 	}
+	return condEntropy(d, ce, facts, d.Entropy())
+}
+
+// condEntropy is CondEntropy for a validated query set, given the task
+// entropy hO = H(O) so that callers evaluating many query sets on one
+// belief (Exact) compute it once. The confusion-model variant replaces
+// the Hamming-distance tables with per-position factors and makes
+// H(AS|O) pattern-dependent: H(AS|O) = Σ_p q(p) Σ_cr Σ_j h(P(yes | p_j)).
+func condEntropy(d *belief.Dist, ce crowd.Crowd, facts []int, hO float64) (float64, error) {
 	if len(facts) == 0 {
-		return d.Entropy(), nil
+		return hO, nil
 	}
-	s := len(facts)
-	w := len(ce)
+	s, w := len(facts), len(ce)
 	if s*w > maxFamilyBits {
 		return 0, fmt.Errorf("%w: |T|=%d × |CE|=%d", ErrTooLarge, s, w)
 	}
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.q = projectionInto(sc.q, d, facts)
 	for _, wk := range ce {
 		if wk.Asymmetric() {
-			return condEntropyAsym(d, ce, facts)
+			return condEntropyAsymCore(hO, sc.q, asymYesTable(ce), s, w), nil
 		}
 	}
-	q := projection(d, facts)
-	tables := likelihoodTables(ce, s)
-	return condEntropySymCore(d.Entropy(), q, tables, symAnswerEntropy(ce), s, w), nil
+	return condEntropySymCore(hO, sc.q, likelihoodTables(ce, s), symAnswerEntropy(ce), s, w), nil
 }
 
 // symAnswerEntropy returns Σ_cr h(Pr_cr), the per-query answer entropy of
@@ -308,17 +317,6 @@ func symFamilyEntropyBatch(q []float64, tables [][]float64, s, w int) float64 {
 	return hAS
 }
 
-// condEntropyAsym is the confusion-model variant of the optimized
-// evaluator. The projection identity still holds — answers depend on the
-// observation only through its pattern on T — but the per-answer terms
-// are class-conditional (TPR/TNR), so the Hamming-distance tables are
-// replaced by per-position factors and H(AS|O) becomes pattern-dependent:
-// H(AS|O) = Σ_p q(p) Σ_cr Σ_j h(P(yes | p_j)).
-func condEntropyAsym(d *belief.Dist, ce crowd.Crowd, facts []int) (float64, error) {
-	q := projection(d, facts)
-	return condEntropyAsymCore(d.Entropy(), q, asymYesTable(ce), len(facts), len(ce)), nil
-}
-
 // asymYesTable returns pYes[cr][tv]: P(worker cr answers Yes | fact truth
 // tv). It depends only on the crowd, so the incremental engine computes it
 // once per run.
@@ -331,11 +329,12 @@ func asymYesTable(ce crowd.Crowd) [][2]float64 {
 	return pYes
 }
 
-// condEntropyAsymCore is the evaluation half of condEntropyAsym, split out
-// (like condEntropySymCore) so the per-worker yes probabilities can be
-// memoized by the incremental engine. Both family paths group each
-// worker's per-query factors into one subproduct before folding it into
-// the likelihood chain, so scalar and batch agree bitwise.
+// condEntropyAsymCore is the evaluation half of the confusion-model
+// evaluator, split out (like condEntropySymCore) so the per-worker yes
+// probabilities can be memoized by the incremental engine. Both family
+// paths group each worker's per-query factors into one subproduct before
+// folding it into the likelihood chain, so scalar and batch agree
+// bitwise.
 func condEntropyAsymCore(entropy float64, q []float64, pYes [][2]float64, s, w int) float64 {
 	evalCount.Add(1)
 

@@ -173,7 +173,7 @@ func TestSelectionStateParallelRefillMatchesGreedy(t *testing.T) {
 	state := NewSelectionState(4)
 	rng := rngutil.New(42)
 	for round := 0; round < 5; round++ {
-		want, err := (Greedy{Workers: 4}).Select(ctx, p, 6)
+		want, err := (greedyReference{Workers: 4}).Select(ctx, p, 6)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package taskselect
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,6 +102,46 @@ func TestQuickGreedyNeverWorseThanSingleBest(t *testing.T) {
 	}
 }
 
+func TestQuickGreedyMatchesReference(t *testing.T) {
+	// Property: Greedy (a cold SelectionState) picks exactly what the
+	// textbook gain loop picks, with as many CondEntropy evaluations, on
+	// multi-task problems with symmetric or asymmetric crowds, random
+	// frozen masks and serial or parallel scans.
+	ctx := context.Background()
+	f := func(seed int64, kRaw uint8, asym, freeze, parallel bool) bool {
+		rng := rngutil.New(seed)
+		ce := crowd.Crowd{{ID: "a", Accuracy: 0.6 + 0.39*rng.Float64()}, {ID: "b", Accuracy: 0.6 + 0.39*rng.Float64()}}
+		if asym {
+			ce[1] = crowd.Worker{ID: "b", TPR: 0.5 + 0.5*rng.Float64(), TNR: 0.5 + 0.5*rng.Float64()}
+		}
+		p := Problem{Beliefs: make([]*belief.Dist, 1+rng.Intn(4)), Experts: ce}
+		for i := range p.Beliefs {
+			p.Beliefs[i] = decodeInstance(rng.Int63()).d
+		}
+		if freeze {
+			p.Frozen = make([][]bool, len(p.Beliefs))
+			for i := range p.Frozen {
+				p.Frozen[i] = []bool{rng.Intn(3) == 0, rng.Intn(3) == 0, rng.Intn(3) == 0}
+			}
+		}
+		workers := 0
+		if parallel {
+			workers = 3
+		}
+		k := 1 + int(kRaw%6)
+		ResetEvalCount()
+		got, err1 := Greedy{Workers: workers}.Select(ctx, p, k)
+		gotEvals := EvalCount()
+		ResetEvalCount()
+		want, err2 := greedyReference{Workers: workers}.Select(ctx, p, k)
+		// The same evaluation schedule, not just the same picks.
+		return err1 == nil && err2 == nil && slices.Equal(got, want) && gotEvals == EvalCount()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestQuickSelectorsAgreeOnPickValidity(t *testing.T) {
 	// Property: every selector returns distinct, in-range, sorted picks.
 	ctx := context.Background()
@@ -108,7 +149,7 @@ func TestQuickSelectorsAgreeOnPickValidity(t *testing.T) {
 		in := decodeInstance(seed)
 		p := Problem{Beliefs: []*belief.Dist{in.d}, Experts: in.ce}
 		k := 1 + int(kRaw%3)
-		for _, s := range []Selector{Greedy{}, Exact{}, Random{Rng: rngutil.New(seed)}, MaxEntropy{}} {
+		for _, s := range []Selector{Greedy{}, greedyReference{}, Exact{}, Random{Rng: rngutil.New(seed)}, MaxEntropy{}} {
 			picks, err := s.Select(ctx, p, k)
 			if err != nil {
 				return false
@@ -140,7 +181,7 @@ func TestQuickFrozenNeverPicked(t *testing.T) {
 		frozen := [][]bool{{false, false, false}}
 		frozen[0][int(frozenBit)%3] = true
 		p := Problem{Beliefs: []*belief.Dist{in.d}, Experts: in.ce, Frozen: frozen}
-		for _, s := range []Selector{Greedy{}, Exact{}, Random{Rng: rngutil.New(seed)}, MaxEntropy{}} {
+		for _, s := range []Selector{Greedy{}, greedyReference{}, Exact{}, Random{Rng: rngutil.New(seed)}, MaxEntropy{}} {
 			picks, err := s.Select(ctx, p, 3)
 			if err != nil {
 				return false

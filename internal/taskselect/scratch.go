@@ -77,8 +77,11 @@ func growRows(rows [][]float64, m, w int) [][]float64 {
 }
 
 // projectionInto computes the belief's marginal on the ordered fact list
-// into q (resized as needed) and returns it. It accumulates observations
-// in the same order as projection, so the two agree bitwise.
+// into q (resized as needed) and returns it. Observations accumulate in
+// ascending order, so every caller's projection agrees bitwise. Like the
+// fused passes below, it shifts each fact's truth bit out of o instead
+// of branching on it: a pass that tests many facts per observation
+// interleaves more bit patterns than the branch predictor follows.
 func projectionInto(q []float64, d *belief.Dist, facts []int) []float64 {
 	s := len(facts)
 	q = growFloats(q, 1<<uint(s))
@@ -92,13 +95,61 @@ func projectionInto(q []float64, d *belief.Dist, facts []int) []float64 {
 		}
 		p := 0
 		for j, f := range facts {
-			if belief.Models(o, f) {
-				p |= 1 << uint(j)
-			}
+			p |= ((o >> uint(f)) & 1) << uint(j)
 		}
 		q[p] += po
 	}
 	return q
+}
+
+// singletonProjections fills qs (resized to 2m) with every fact's
+// one-fact projection, qs[2f+b] = P(fact f has truth bit b), in a single
+// observation pass. Each slot accumulates in ascending observation
+// order, so qs[2f:2f+2] is bitwise projectionInto's result for {f}.
+func singletonProjections(qs []float64, d *belief.Dist) []float64 {
+	m := d.NumFacts()
+	qs = growFloats(qs, 2*m)
+	for i := range qs {
+		qs[i] = 0
+	}
+	for o := 0; o < d.NumObservations(); o++ {
+		po := d.P(o)
+		if po == 0 {
+			continue
+		}
+		for f := 0; f < m; f++ {
+			qs[2*f+(o>>uint(f))&1] += po
+		}
+	}
+	return qs
+}
+
+// extendedProjections fills qs (resized to len(cands)·n, n = 2^(|sel|+1))
+// with the projection onto sel followed by each candidate fact:
+// qs[i·n:(i+1)·n] is bitwise projectionInto's result for sel+[cands[i]].
+// One observation pass serves every candidate, since the selection's
+// pattern bits are shared and only the candidate's top bit differs.
+func extendedProjections(qs []float64, d *belief.Dist, sel, cands []int) []float64 {
+	n := 2 << uint(len(sel))
+	qs = growFloats(qs, len(cands)*n)
+	for i := range qs {
+		qs[i] = 0
+	}
+	hiBit := uint(len(sel)) // the candidate fact is the query list's last entry
+	for o := 0; o < d.NumObservations(); o++ {
+		po := d.P(o)
+		if po == 0 {
+			continue
+		}
+		pb := 0
+		for j, f := range sel {
+			pb |= ((o >> uint(f)) & 1) << uint(j)
+		}
+		for i, f := range cands {
+			qs[i*n+(pb|((o>>uint(f))&1)<<hiBit)] += po
+		}
+	}
+	return qs
 }
 
 // projKey appends a self-delimiting encoding of the fact list to buf and

@@ -116,14 +116,15 @@ const gainEps = 1e-12
 // the largest marginal quality gain gain^T(f) = H(O|AS^T) − H(O|AS^T∪{f})
 // until k facts are selected or no fact improves the objective. Because
 // tasks are independent, the marginal gain of a fact depends only on the
-// facts already selected in the same task, so gains are cached per
-// candidate and only the winning task's gains are recomputed after each
-// pick. The greedy solution is within (1−1/e) of optimal by the
-// submodularity of conditional entropy.
+// facts already selected in the same task, so only the winning task's
+// gains are recomputed after each pick. The greedy solution is within
+// (1−1/e) of optimal by the submodularity of conditional entropy.
 //
-// Workers > 1 evaluates the initial per-task gain scan concurrently —
-// the dominant cost on many-task datasets; the pick loop itself stays
-// sequential because each pick only invalidates one task.
+// Each Select runs a cold SelectionState: the same picks and the same
+// evaluation schedule as the textbook loop, with H(O_t) computed once per
+// task and each rescan or post-pick refill sharing one observation pass.
+// Workers > 1 parallelises the initial per-task rescan and the post-pick
+// refill of the winning task's gains.
 type Greedy struct {
 	Workers int
 }
@@ -133,93 +134,18 @@ func (Greedy) Name() string { return "Approx" }
 
 // Select implements Selector.
 func (g Greedy) Select(ctx context.Context, p Problem, k int) ([]Candidate, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	type cand struct {
-		c    Candidate
-		gain float64
-	}
-	selected := make(map[int][]int) // task -> chosen local facts
-	baseH := make([]float64, len(p.Beliefs))
-	for t, d := range p.Beliefs {
-		baseH[t] = d.Entropy() // H(O_t | AS^∅) = H(O_t)
-	}
-	// gains[t] holds the current marginal gain of every unchosen fact of
-	// task t given selected[t].
-	gains := make([][]cand, len(p.Beliefs))
-	recompute := func(t int) error {
-		d := p.Beliefs[t]
-		sel := selected[t]
-		gains[t] = gains[t][:0]
-		// A []bool set rather than an int bitmask: shifting by fact indices
-		// ≥ 64 would silently wrap and drop chosen facts from the mask.
-		chosen := make([]bool, d.NumFacts())
-		for _, f := range sel {
-			chosen[f] = true
-		}
-		for f := 0; f < d.NumFacts(); f++ {
-			if chosen[f] || p.frozen(t, f) {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			h, err := CondEntropy(d, p.Experts, append(append([]int{}, sel...), f))
-			if err != nil {
-				return err
-			}
-			gains[t] = append(gains[t], cand{Candidate{t, f}, baseH[t] - h})
-		}
-		return nil
-	}
-	if err := scanAll(ctx, len(p.Beliefs), g.Workers, recompute); err != nil {
-		return nil, err
-	}
-	var picks []Candidate
-	for len(picks) < k {
-		best := cand{gain: math.Inf(-1)}
-		for _, tg := range gains {
-			for _, c := range tg {
-				if c.gain > best.gain {
-					best = c
-				}
-			}
-		}
-		if math.IsInf(best.gain, -1) {
-			break // no candidates left
-		}
-		if best.gain <= gainEps {
-			break // Algorithm 2 line 4: no further expected improvement
-		}
-		picks = append(picks, best.c)
-		t := best.c.Task
-		selected[t] = append(selected[t], best.c.Fact)
-		if len(picks) == k {
-			break // no further pick reads the recomputed gains
-		}
-		// The conditional entropy with the enlarged selection becomes the
-		// new baseline for task t's marginal gains.
-		h, err := CondEntropy(p.Beliefs[t], p.Experts, selected[t])
-		if err != nil {
-			return nil, err
-		}
-		baseH[t] = h
-		if err := recompute(t); err != nil {
-			return nil, err
-		}
-	}
-	sortCandidates(picks)
-	return picks, nil
+	return NewSelectionState(g.Workers).Select(ctx, p, k)
 }
 
 // Exact is the OPT selector: brute-force enumeration of every size-k
 // subset of facts, minimizing the global conditional entropy. Its cost is
 // C(N, k) objective evaluations and it honors ctx cancellation so the
 // efficiency experiment (Table III) can impose the paper's timeout.
+//
+// Each task's H(O_t) is computed once per call. A subset evaluates only
+// the tasks it picks from; every other task adds its cached entropy, in
+// ascending task order, so each subset's total is bitwise the one
+// Problem.Objective returns.
 type Exact struct{}
 
 // Name implements Selector.
@@ -248,6 +174,13 @@ func (Exact) Select(ctx context.Context, p Problem, k int) ([]Candidate, error) 
 	if k == 0 {
 		return nil, nil
 	}
+	hO := make([]float64, len(p.Beliefs))
+	for t, d := range p.Beliefs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		hO[t] = d.Entropy()
+	}
 	idx := make([]int, k)
 	for i := range idx {
 		idx[i] = i
@@ -255,13 +188,29 @@ func (Exact) Select(ctx context.Context, p Problem, k int) ([]Candidate, error) 
 	bestH := math.Inf(1)
 	best := make([]Candidate, k)
 	subset := make([]Candidate, k)
+	facts := make([]int, 0, k)
 	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for i, j := range idx {
 			subset[i] = all[j]
 		}
-		h, err := p.Objective(ctx, subset)
-		if err != nil {
-			return nil, err
+		// subset is in (task, fact) order, so each task's picks are one
+		// run, in the order Objective would group them.
+		var h float64
+		rest := subset
+		for t, d := range p.Beliefs {
+			facts = facts[:0]
+			for len(rest) > 0 && rest[0].Task == t {
+				facts = append(facts, rest[0].Fact)
+				rest = rest[1:]
+			}
+			ht, err := condEntropy(d, p.Experts, facts, hO[t])
+			if err != nil {
+				return nil, err
+			}
+			h += ht
 		}
 		if h < bestH {
 			bestH = h

@@ -12,10 +12,10 @@ import (
 	"hcrowd/internal/crowd"
 )
 
-// SelectionState is the incremental variant of the Greedy selector. It
-// implements Selector with round-for-round identical picks (same values,
-// same deterministic tie-break) but amortizes the work of Algorithm 2
-// across the checking loop's rounds:
+// SelectionState is the engine behind the Greedy selector. A cold state
+// makes the picks of Algorithm 2's textbook gain loop (same values, same
+// deterministic tie-break, same evaluation schedule); a state kept
+// across the checking loop's rounds also amortizes that work:
 //
 //   - The per-task round-start marginal gains gain^∅(f) = H(O_t) −
 //     H(O_t|AS^{{f}}) are cached between Select calls and recomputed only
@@ -26,19 +26,20 @@ import (
 //   - The pick loop replaces a priority queue with a two-level argmax:
 //     every task caches the first strict maximum of its gain row (fact
 //     ascending), and each pick scans those per-task bests in task order
-//     with a strict comparison — exactly the argmax order of Greedy's
-//     full scan (gain descending, ties to the lowest task then fact), at
-//     O(N) per pick with no heap maintenance and no allocation. A pick
-//     only perturbs the gains of its own task (tasks are independent), so
-//     only that task's row is re-evaluated — eagerly, on exactly Greedy's
-//     recompute schedule, rather than CELF-style stale-until-popped:
-//     pure laziness needs stale gains to upper-bound fresh ones, and
-//     while submodularity guarantees that in exact arithmetic, rounding
-//     can violate it by a few ulps, which in the exact-tie regimes of a
-//     converged belief silently changes the argmax and breaks
-//     pick-identity with Greedy. Eager refresh costs at most m−1 extra
-//     evaluations per pick and keeps the identity provable; the (1−1/e)
-//     guarantee carries over unchanged either way.
+//     with a strict comparison — exactly the argmax order of the textbook
+//     loop's full scan (gain descending, ties to the lowest task then
+//     fact), at O(N) per pick with no heap maintenance and no
+//     allocation. A pick only perturbs the gains of its own task (tasks
+//     are independent), so only that task's row is re-evaluated —
+//     eagerly, on exactly the textbook loop's recompute schedule, rather
+//     than CELF-style stale-until-popped: pure laziness needs stale gains
+//     to upper-bound fresh ones, and while submodularity guarantees that
+//     in exact arithmetic, rounding can violate it by a few ulps, which
+//     in the exact-tie regimes of a converged belief silently changes the
+//     argmax and breaks pick-identity with the textbook loop. Eager
+//     refresh costs at most m−1 extra evaluations per pick and keeps the
+//     identity provable; the (1−1/e) guarantee carries over unchanged
+//     either way.
 //   - The crowd-only pieces of CondEntropy (Hamming-distance likelihood
 //     tables, Σ_cr h(Pr_cr), the asymmetric yes-probability table) are
 //     computed once per crowd; projections and query-set lists are built
@@ -134,8 +135,8 @@ func (tc *taskCache) resetRound() {
 // gainRowBest returns the first strict maximum of a gain row in fact
 // order, skipping NaN (frozen or consumed) entries; (-1, -Inf) when the
 // row has no live entry. Scanning facts ascending with a strict > is
-// exactly how Greedy's argmax breaks ties, which is what makes the
-// cached best usable in its place.
+// exactly how the textbook loop's argmax breaks ties, which is what makes
+// the cached best usable in its place.
 func gainRowBest(gains []float64) (int, float64) {
 	bf, bg := -1, math.Inf(-1)
 	for f, g := range gains {
@@ -346,11 +347,10 @@ func (s *SelectionState) condEntropy(sc *evalScratch, tc *taskCache, d *belief.D
 }
 
 // rescan rebuilds the round-start gain cache of task t. The round-start
-// gains all condition on one-fact query sets, so the per-fact projections
-// are fused into a single observation pass that fills every fact's
-// two-pattern marginal; each addition happens in the order the per-fact
-// projection would perform it, so the gains are bitwise the ones the
-// one-at-a-time evaluation produces.
+// gains all condition on one-fact query sets, so singletonProjections
+// fills every fact's two-pattern marginal in one observation pass; the
+// marginals, and so the gains, are bitwise the ones the one-at-a-time
+// evaluation produces.
 func (s *SelectionState) rescan(ctx context.Context, p Problem, t int) error {
 	tc := s.tasks[t]
 	d := p.Beliefs[t]
@@ -358,30 +358,11 @@ func (s *SelectionState) rescan(ctx context.Context, p Problem, t int) error {
 	defer putScratch(sc)
 	tc.entropy = d.Entropy()
 	m, w := d.NumFacts(), len(s.ce)
-	if w > maxFamilyBits {
-		return fmt.Errorf("%w: |T|=1 × |CE|=%d", ErrTooLarge, w)
-	}
 	tc.gains = growFloats(tc.gains, m)
 	tc.frozen = growBools(tc.frozen, m)
 	tc.anyFrozen = false
-	qs := growFloats(sc.q, 2*m)
-	for i := range qs {
-		qs[i] = 0
-	}
-	for o := 0; o < d.NumObservations(); o++ {
-		po := d.P(o)
-		if po == 0 {
-			continue
-		}
-		for f := 0; f < m; f++ {
-			idx := 2 * f
-			if belief.Models(o, f) {
-				idx++
-			}
-			qs[idx] += po
-		}
-	}
-	sc.q = qs
+	sc.q = singletonProjections(sc.q, d)
+	qs := sc.q
 	var tables [][]float64
 	if !s.asym {
 		tables = s.likelihoodTablesFor(1)
@@ -392,6 +373,9 @@ func (s *SelectionState) rescan(ctx context.Context, p Problem, t int) error {
 			tc.anyFrozen = true
 			tc.gains[f] = math.NaN()
 			continue
+		}
+		if w > maxFamilyBits {
+			return fmt.Errorf("%w: |T|=1 × |CE|=%d", ErrTooLarge, w)
 		}
 		if err := ctx.Err(); err != nil {
 			return err
@@ -412,19 +396,31 @@ func (s *SelectionState) rescan(ctx context.Context, p Problem, t int) error {
 }
 
 // refill re-evaluates task tc's unchosen candidates against the enlarged
-// selection (conditional entropy nh) — exactly Greedy's recompute
-// schedule after a pick — and refreshes the task's cached argmax. Every
-// candidate's query set is sel plus one fact, so the projections are
-// fused into a single observation pass (the selection's pattern bits are
-// shared; only the candidate's top bit differs), with each addition in
-// the order the per-candidate projection would perform it — the gains
-// are bitwise the ones Greedy's one-at-a-time evaluation produces.
-// Workers > 1 fans the core evaluations out after the serial projection
-// pass; each goroutine writes only its fact's slot and the argmax
-// reduction runs serially afterwards, so the result is identical to the
-// serial sweep.
+// selection (conditional entropy nh) — exactly the textbook loop's
+// recompute schedule after a pick — and refreshes the task's cached
+// argmax. Every candidate's query set is sel plus one fact, so
+// extendedProjections serves them all from one observation pass, bitwise
+// the per-candidate projections. Frozen and chosen facts are filtered out
+// before the pass, so its inner loop only shifts bits. Workers > 1 fans
+// the core evaluations out after the serial projection pass; each
+// goroutine writes only its fact's slot and the argmax reduction runs
+// serially afterwards, so the result is identical to the serial sweep.
 func (s *SelectionState) refill(ctx context.Context, tc *taskCache, d *belief.Dist, nh float64) error {
 	m, w := d.NumFacts(), len(s.ce)
+	sc := getScratch()
+	defer putScratch(sc)
+	cands := sc.facts[:0]
+	for f := 0; f < m; f++ {
+		tc.live[f] = math.NaN()
+		if !tc.chosen[f] && !tc.frozen[f] {
+			cands = append(cands, f)
+		}
+	}
+	sc.facts = cands
+	tc.liveBestFact, tc.liveBestGain = -1, math.Inf(-1)
+	if len(cands) == 0 {
+		return nil
+	}
 	sz := len(tc.sel) + 1
 	if sz*w > maxFamilyBits {
 		return fmt.Errorf("%w: |T|=%d × |CE|=%d", ErrTooLarge, sz, w)
@@ -434,48 +430,18 @@ func (s *SelectionState) refill(ctx context.Context, tc *taskCache, d *belief.Di
 		tables = s.likelihoodTablesFor(sz)
 	}
 	n := 1 << uint(sz)
-	tc.qs = growFloats(tc.qs, m*n)
+	tc.qs = extendedProjections(tc.qs, d, tc.sel, cands)
 	qs := tc.qs
-	for i := range qs {
-		qs[i] = 0
-	}
-	hiBit := uint(sz - 1) // the candidate fact is the query list's last entry
-	for o := 0; o < d.NumObservations(); o++ {
-		po := d.P(o)
-		if po == 0 {
-			continue
-		}
-		pb := 0
-		for j, fs := range tc.sel {
-			if belief.Models(o, fs) {
-				pb |= 1 << uint(j)
-			}
-		}
-		for f := 0; f < m; f++ {
-			if tc.chosen[f] || tc.frozen[f] {
-				continue
-			}
-			idx := pb
-			if belief.Models(o, f) {
-				idx |= 1 << hiBit
-			}
-			qs[f*n+idx] += po
-		}
-	}
-	err := scanAll(ctx, m, s.Workers, func(f int) error {
-		if tc.chosen[f] || tc.frozen[f] {
-			tc.live[f] = math.NaN()
-			return nil
-		}
+	err := scanAll(ctx, len(cands), s.Workers, func(i int) error {
 		s.stats.evals.Add(1)
-		q := qs[f*n : (f+1)*n]
+		q := qs[i*n : (i+1)*n]
 		var th float64
 		if s.asym {
 			th = condEntropyAsymCore(tc.entropy, q, s.pYes, sz, w)
 		} else {
 			th = condEntropySymCore(tc.entropy, q, tables, s.hPerQuery, sz, w)
 		}
-		tc.live[f] = nh - th
+		tc.live[cands[i]] = nh - th
 		return nil
 	})
 	if err != nil {
@@ -486,7 +452,8 @@ func (s *SelectionState) refill(ctx context.Context, tc *taskCache, d *belief.Di
 }
 
 // Select implements Selector. See the type comment for the contract; the
-// picks are identical to Greedy.Select on the same problem.
+// picks are identical to a cold state's (Greedy.Select's) on the same
+// problem.
 func (s *SelectionState) Select(ctx context.Context, p Problem, k int) ([]Candidate, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -537,7 +504,7 @@ func (s *SelectionState) Select(ctx context.Context, p Problem, k int) ([]Candid
 			return nil, err
 		}
 		// Two-level argmax: per-task cached bests, scanned in task order
-		// with a strict > — Greedy's exact tie-break order.
+		// with a strict > — the textbook loop's tie-break order.
 		bt, bf := -1, -1
 		bg := math.Inf(-1)
 		for t, tc := range s.tasks {
@@ -572,7 +539,7 @@ func (s *SelectionState) Select(ctx context.Context, p Problem, k int) ([]Candid
 		}
 		// The enlarged selection's conditional entropy becomes the new gain
 		// baseline for task bt; its remaining candidates re-evaluate against
-		// it on exactly Greedy's recompute schedule.
+		// it on exactly the textbook loop's recompute schedule.
 		nh, err := s.condEntropy(sc, tc, d, tc.sel)
 		if err != nil {
 			return nil, err

@@ -40,7 +40,7 @@ func TestSelectionStateMatchesGreedySingleShot(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		for _, k := range []int{1, 2, 4, 7} {
 			p := randomProblem(t, seed, 4, experts(0.8, 0.93))
-			want, err := (Greedy{}).Select(ctx, p, k)
+			want, err := (greedyReference{}).Select(ctx, p, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func TestSelectionStateMatchesGreedyAcrossRounds(t *testing.T) {
 			state := NewSelectionState(tc.workers)
 			rng := rngutil.New(77)
 			for round := 0; round < 8; round++ {
-				want, err := (Greedy{Workers: tc.workers}).Select(ctx, p, 3)
+				want, err := (greedyReference{Workers: tc.workers}).Select(ctx, p, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,7 +141,7 @@ func TestSelectionStateSteadyStateEvals(t *testing.T) {
 		}
 		return EvalCount()
 	}
-	full := countRound(Greedy{})
+	full := countRound(greedyReference{})
 	// Steady state with one invalidated task.
 	state.Invalidate(0)
 	incr := countRound(state)
@@ -160,7 +160,7 @@ func TestSelectionStateCrowdChangeResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Experts = experts(0.97)
-	want, err := (Greedy{}).Select(ctx, p, 2)
+	want, err := (greedyReference{}).Select(ctx, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestSelectionStateFrozenDriftWithoutInvalidate(t *testing.T) {
 		p.Frozen[i] = make([]bool, d.NumFacts())
 	}
 	p.Frozen[first[0].Task][first[0].Fact] = true
-	want, err := (Greedy{}).Select(ctx, p, 1)
+	want, err := (greedyReference{}).Select(ctx, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
